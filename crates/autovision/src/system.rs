@@ -173,7 +173,7 @@ pub struct SystemConfig {
     /// Disabled (the default) leaves every paper-reproduction number
     /// untouched.
     pub recovery: RecoveryPolicy,
-    /// Kernel execution mode. [`ExecMode::Compiled`] runs the levelized
+    /// Kernel execution mode. [`ExecMode::Compiled`] runs the
     /// steady-state schedule (activation filtering + parking) and falls
     /// back to full event-driven dispatch inside reconfiguration and
     /// X-injection windows; outputs are bit-identical in every mode.

@@ -32,6 +32,7 @@ use rtlsim::{CompKind, CompiledStats, SimStats};
 /// Fold kernel statistics into the registry under `kernel.*`.
 pub fn record_sim_stats(reg: &mut MetricsRegistry, stats: &SimStats) {
     reg.counter("kernel.evals", stats.evals);
+    reg.counter("kernel.writes", stats.writes);
     reg.counter("kernel.deltas", stats.deltas);
     reg.counter("kernel.time_points", stats.time_points);
     reg.counter("kernel.toggles", stats.toggles);
@@ -39,16 +40,12 @@ pub fn record_sim_stats(reg: &mut MetricsRegistry, stats: &SimStats) {
 }
 
 /// Fold compiled-plane statistics into the registry under `compiled.*`:
-/// the plan shape (sequential rank, levelized comb depth), the dispatch
-/// filter's work avoidance (edge/parked skips, parks, wakes), and the
-/// steady-state vs dirty-window fallback split.
+/// the plan size, the dispatch filter's work avoidance (edge/parked
+/// skips, parks, wakes), and the steady-state vs dirty-window fallback
+/// split.
 pub fn record_compiled_stats(reg: &mut MetricsRegistry, stats: &CompiledStats) {
     reg.counter("compiled.compile_nanos", stats.compile_nanos);
     reg.counter("compiled.schedule_comps", stats.schedule_comps);
-    reg.counter("compiled.seq_rank", stats.seq_rank);
-    reg.counter("compiled.comb_comps", stats.comb_comps);
-    reg.counter("compiled.comb_levels", stats.comb_levels);
-    reg.counter("compiled.comb_cyclic", stats.comb_cyclic);
     reg.counter("compiled.skipped_edge", stats.skipped_edge);
     reg.counter("compiled.skipped_parked", stats.skipped_parked);
     reg.counter("compiled.parks", stats.parks);

@@ -146,9 +146,7 @@ impl Component for Arbiter {
             return; // nothing to arbitrate
         }
         // Error pulses last one cycle.
-        if ctx.get_u64(self.errm) != Some(NONE) {
-            ctx.set_u64(self.errm, NONE);
-        }
+        ctx.set_u64(self.errm, NONE);
         let owner = ctx.get_u64(self.owner).unwrap_or(NONE);
         if owner == NONE {
             self.held_cycles = 0;
@@ -337,24 +335,12 @@ impl PlbBus {
         for (s, _) in &slaves {
             sens.extend_from_slice(&[s.aready, s.wready, s.rvalid, s.rdata, s.complete, s.err]);
         }
-        let mut writes: Vec<SignalId> = Vec::new();
-        for m in &masters {
-            writes.extend_from_slice(&[
-                m.gnt, m.addr_ack, m.wready, m.rvalid, m.rdata, m.complete, m.err,
-            ]);
-        }
-        for (s, _) in &slaves {
-            writes.extend_from_slice(&[
-                s.sel, s.a_rnw, s.a_addr, s.a_size, s.wvalid, s.wdata, s.rready,
-            ]);
-        }
-        let relay_comp = sim.add_component(
+        sim.add_component(
             format!("{name}.relay"),
             CompKind::UserStatic,
             Box::new(relay),
             &sens,
         );
-        sim.declare_comb(relay_comp, &sens, &writes);
 
         PlbBus { owner, slave, errm }
     }

@@ -191,10 +191,6 @@ pub struct IcapArtifact {
     swap_deferred: bool,
     /// A strobe output was set high last cycle and must be cleared.
     strobe_pending: bool,
-    /// Last driven value of `ready` (avoid redundant writes on the idle
-    /// fast path — the artifact must cost nothing while no bitstream
-    /// flows).
-    ready_driven: Option<bool>,
     stats: Rc<RefCell<IcapStats>>,
     /// Campaign-armed transient faults, if attached.
     faults: Option<IcapFaultHandle>,
@@ -245,7 +241,6 @@ impl IcapArtifact {
             last_far: (0, 0),
             swap_deferred: false,
             strobe_pending: false,
-            ready_driven: None,
             stats: stats.clone(),
             faults: Some(faults.clone()),
             abort_seen: false,
@@ -290,7 +285,6 @@ impl Component for IcapArtifact {
             self.swap_deferred = false;
             self.strobe_pending = false;
             self.abort_seen = false;
-            self.ready_driven = Some(true);
             ctx.set_bit(p.ready, true);
             ctx.set_bit(p.reconfiguring, false);
             ctx.set_bit(p.inject, false);
@@ -341,10 +335,7 @@ impl Component for IcapArtifact {
             }
             // Restore ready (FIFO is now empty) and take no other action
             // while the abort strobe is held.
-            if self.ready_driven != Some(true) {
-                self.ready_driven = Some(true);
-                ctx.set_bit(p.ready, true);
-            }
+            ctx.set_bit(p.ready, true);
             return;
         }
         self.abort_seen = false;
@@ -526,12 +517,9 @@ impl Component for IcapArtifact {
                 ready = false;
             }
         }
-        if self.ready_driven != Some(ready) {
-            self.ready_driven = Some(ready);
-            ctx.set_bit(p.ready, ready);
-            if !ready {
-                self.stats.borrow_mut().backpressure_events += 1;
-            }
+        if !ready && !ctx.is_low(p.ready) {
+            self.stats.borrow_mut().backpressure_events += 1;
         }
+        ctx.set_bit(p.ready, ready);
     }
 }

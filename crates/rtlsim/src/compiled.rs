@@ -1,5 +1,5 @@
-//! The compiled-simulation plane: levelized schedule analysis plus the
-//! steady-state dispatch filter behind [`ExecMode`].
+//! The compiled-simulation plane: the steady-state dispatch filter
+//! behind [`ExecMode`].
 //!
 //! # What "compiled" means here
 //!
@@ -31,20 +31,8 @@
 //! state handoff in both directions is trivially clean: there is no
 //! second state copy, the event queue and signal arena are shared, and
 //! entering/leaving a dirty window is a flag flip plus an unpark sweep.
-//!
-//! # Levelization
-//!
-//! [`crate::Simulator::declare_comb`] records a combinational component's
-//! read/write sets. At compile time the plane topologically orders the
-//! declared combinational netlist (Kahn), yielding the per-cycle
-//! schedule shape: one batched sequential rank (all `Clocked`
-//! components, dispatched together at their clock edge) followed by at
-//! most `comb_levels` cascaded combinational ranks. The levelization is
-//! used to validate acyclicity and to bound the delta-cascade depth; the
-//! *execution order* within a delta remains event order, which is what
-//! pins waveforms bit-identical between modes.
 
-use crate::{CompId, SignalId};
+use crate::CompId;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -133,21 +121,11 @@ pub enum DirtyWatch {
 /// Statistics of the compiled plane, populated once the plan is built.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompiledStats {
-    /// Wall-clock nanoseconds spent building the plan (levelization plus
-    /// dense-table construction).
+    /// Wall-clock nanoseconds spent building the plan (dense-table
+    /// construction).
     pub compile_nanos: u64,
     /// Components covered by the plan (dense slot count).
     pub schedule_comps: u64,
-    /// Components in the batched sequential rank (declared clocked).
-    pub seq_rank: u64,
-    /// Declared combinational components.
-    pub comb_comps: u64,
-    /// Depth of the levelized combinational schedule (0 when no comb
-    /// declarations exist).
-    pub comb_levels: u64,
-    /// Declared combinational components on a cycle (levelization could
-    /// not order them; they stay generically dispatched).
-    pub comb_cyclic: u64,
     /// Dispatches skipped because the activation was the wrong clock
     /// edge.
     pub skipped_edge: u64,
@@ -206,8 +184,6 @@ pub(crate) struct CompiledCore {
     pub wakers: Vec<Vec<CompId>>,
     /// Registered doorbells and their parked listeners.
     pub doorbells: Vec<(Rc<Cell<bool>>, Vec<CompId>)>,
-    /// Declared combinational read/write sets (levelization input).
-    pub comb_decls: Vec<(CompId, Vec<SignalId>, Vec<SignalId>)>,
     /// Number of signals currently dirty; filtering is suspended while
     /// non-zero.
     pub dirty_count: u32,
@@ -263,58 +239,6 @@ impl CompiledCore {
             }
         }
     }
-
-    /// Levelize the declared combinational netlist: Kahn topological sort
-    /// over "writer feeds reader" edges. Returns (levels, cyclic_comps).
-    pub fn levelize(&self) -> (u64, u64) {
-        let n = self.comb_decls.len();
-        if n == 0 {
-            return (0, 0);
-        }
-        // Map each written signal to its writing decl indices.
-        let mut writers: std::collections::HashMap<u32, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, (_, _, writes)) in self.comb_decls.iter().enumerate() {
-            for s in writes {
-                writers.entry(s.0).or_default().push(i);
-            }
-        }
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (i, (_, reads, _)) in self.comb_decls.iter().enumerate() {
-            for s in reads {
-                if let Some(ws) = writers.get(&s.0) {
-                    for &w in ws {
-                        if w != i {
-                            succ[w].push(i);
-                            indeg[i] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut level = vec![0u64; n];
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = queue.len();
-        let mut head = 0;
-        let mut max_level = if queue.is_empty() { 0 } else { 1 };
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &v in &succ[u] {
-                indeg[v] -= 1;
-                if level[v] < level[u] + 1 {
-                    level[v] = level[u] + 1;
-                    max_level = max_level.max(level[v] + 1);
-                }
-                if indeg[v] == 0 {
-                    queue.push(v);
-                    seen += 1;
-                }
-            }
-        }
-        (max_level, (n - seen) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -329,29 +253,5 @@ mod tests {
         assert_eq!(ExecMode::parse("event-driven"), Some(ExecMode::EventDriven));
         assert_eq!(ExecMode::parse("bogus"), None);
         assert_eq!(ExecMode::default(), ExecMode::EventDriven);
-    }
-
-    #[test]
-    fn levelize_orders_a_chain_and_flags_a_cycle() {
-        let mut cc = CompiledCore::default();
-        let s = |n: u32| SignalId(n);
-        // a: s0 -> s1, b: s1 -> s2, c: s2 -> s3 — a 3-level chain.
-        cc.comb_decls.push((CompId(0), vec![s(0)], vec![s(1)]));
-        cc.comb_decls.push((CompId(1), vec![s(1)], vec![s(2)]));
-        cc.comb_decls.push((CompId(2), vec![s(2)], vec![s(3)]));
-        let (levels, cyclic) = cc.levelize();
-        assert_eq!(levels, 3);
-        assert_eq!(cyclic, 0);
-        // d/e form a combinational loop: flagged, not ordered.
-        cc.comb_decls.push((CompId(3), vec![s(9)], vec![s(8)]));
-        cc.comb_decls.push((CompId(4), vec![s(8)], vec![s(9)]));
-        let (_, cyclic) = cc.levelize();
-        assert_eq!(cyclic, 2);
-    }
-
-    #[test]
-    fn empty_netlist_levelizes_to_zero() {
-        let cc = CompiledCore::default();
-        assert_eq!(cc.levelize(), (0, 0));
     }
 }

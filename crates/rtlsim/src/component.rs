@@ -93,23 +93,33 @@ impl Ctx<'_> {
 
     /// Schedule a non-blocking write: the value becomes visible at the end
     /// of the current delta cycle. Width is coerced to the signal width.
+    ///
+    /// A write that cannot change the signal is dropped here rather than
+    /// queued: its value equals the current one (case equality) and no
+    /// earlier write to the signal is queued in this delta. Current
+    /// values are frozen while components evaluate, and any later write
+    /// in the delta still wins, so the result is exactly that of
+    /// applying every write in order. Re-driving an unchanged output
+    /// costs one comparison; components need no "write only on change"
+    /// guard.
     #[inline]
     pub fn set(&mut self, s: SignalId, v: Lv) {
         let w = self.core.signals[s.0 as usize].width;
-        self.core.pending.push((s, v.resize(w)));
+        self.core.queue_write(s, v.resize(w));
     }
 
-    /// Non-blocking write of a known value.
+    /// Non-blocking write of a known value (see [`Ctx::set`]).
     #[inline]
     pub fn set_u64(&mut self, s: SignalId, v: u64) {
         let w = self.core.signals[s.0 as usize].width;
-        self.core.pending.push((s, Lv::from_u64(w, v)));
+        self.core.queue_write(s, Lv::from_u64(w, v));
     }
 
-    /// Non-blocking write of a single-bit signal.
+    /// Non-blocking write of a single-bit value (see [`Ctx::set`]). The
+    /// value keeps width 1 whatever the signal's width.
     #[inline]
     pub fn set_bit(&mut self, s: SignalId, b: bool) {
-        self.core.pending.push((s, Lv::bit(b)));
+        self.core.queue_write(s, Lv::bit(b));
     }
 
     /// Schedule a write `delay_ps` in the future (transport delay).

@@ -28,10 +28,29 @@
 //! ready queue and the non-blocking-write list are all reusable buffers,
 //! and ready-queue membership is tracked with a generation stamp instead
 //! of a drained `bool` flag.
+//!
+//! Every non-blocking write goes through `SimCore::queue_write`, which
+//! drops a write that cannot change its signal: one whose value
+//! `eq_case`s the signal's current value while no earlier write to that
+//! signal is queued in this delta (the signal's `queued_step` stamp is
+//! not the current `step`). Every other write is queued, in order, and
+//! stamps the signal. The rule is exact, not a heuristic:
+//!
+//! * `cur` is frozen for the whole eval phase, because nothing applies
+//!   until `step` is bumped, so the comparison sees the value the write
+//!   would have been applied against.
+//! * A dropped write is always the first write to its signal in its
+//!   delta. A later write overrides it, as last-writer-wins already
+//!   does; with no later write, its apply would have been a no-op.
+//! * Queued writes keep their order, so glitches inside one delta
+//!   (`[X, cur]`) still toggle and reach the VCD twice.
+//!
+//! Component-side "only write on change" shadows are therefore
+//! redundant. Most writes in the system are re-drives of unchanged
+//! outputs by combinational relays and muxes, so this keeps the write
+//! list, and the apply phase that walks it, to the writes that toggle.
 
-use crate::compiled::{
-    cflag, CompiledCore, CompiledStats, DirtyWatch, DoorbellId, ExecMode, NO_CLOCK,
-};
+use crate::compiled::{cflag, CompiledCore, CompiledStats, DirtyWatch, DoorbellId, ExecMode};
 use crate::component::{CompKind, Component, Ctx};
 use crate::lv::Lv;
 use crate::name::{Name, NameArena, NameId};
@@ -86,6 +105,9 @@ pub(crate) struct SignalState {
     pub sensitive: Vec<CompId>,
     /// Number of value changes since time 0.
     pub toggles: u64,
+    /// `step` of the delta whose eval phase last queued a write to this
+    /// signal (see [`SimCore::queue_write`]).
+    pub queued_step: u64,
     /// Compiled-plane flags (dirty watches, park wake list presence);
     /// see [`crate::compiled::cflag`]. Zero for ordinary signals.
     pub cflags: u8,
@@ -304,6 +326,21 @@ pub(crate) struct SimCore {
 }
 
 impl SimCore {
+    /// Queue a non-blocking write for the end of the current delta,
+    /// dropping it when it cannot change the signal (see the module doc,
+    /// "Delta loop"). `v` is compared and applied as given.
+    #[inline]
+    pub fn queue_write(&mut self, sig: SignalId, v: Lv) {
+        let s = &mut self.signals[sig.0 as usize];
+        if s.queued_step != self.step {
+            if s.cur.eq_case(&v) {
+                return;
+            }
+            s.queued_step = self.step;
+        }
+        self.pending.push((sig, v));
+    }
+
     pub fn schedule_drive(&mut self, time: u64, sig: SignalId, v: Lv) {
         self.seq += 1;
         self.sched.push(Event {
@@ -365,6 +402,9 @@ pub struct SimStats {
     pub toggles: u64,
     /// Total events scheduled (drives + wakeups).
     pub events: u64,
+    /// Total non-blocking writes queued for an apply phase (writes that
+    /// could not change their signal are dropped before they count).
+    pub writes: u64,
 }
 
 /// The top-level event-driven simulator.
@@ -443,6 +483,7 @@ impl Simulator {
             last_change: 0,
             sensitive: Vec::new(),
             toggles: 0,
+            queued_step: 0,
             cflags: 0,
         });
         id
@@ -905,6 +946,7 @@ impl Simulator {
             let mut pending = std::mem::take(&mut self.core.pending);
             self.core.step += 1;
             self.stats.deltas += 1;
+            self.stats.writes += pending.len() as u64;
             for &(sig, v) in pending.iter() {
                 self.apply(sig, v);
             }
@@ -1039,16 +1081,6 @@ impl Simulator {
         self.core.compiled.clock_of[comp.0 as usize] = clk.0;
     }
 
-    /// Declare `comp` combinational with the given read/write sets. Feeds
-    /// the levelization pass (schedule depth, acyclicity check); has no
-    /// dispatch effect of its own.
-    pub fn declare_comb(&mut self, comp: CompId, reads: &[SignalId], writes: &[SignalId]) {
-        self.core
-            .compiled
-            .comb_decls
-            .push((comp, reads.to_vec(), writes.to_vec()));
-    }
-
     /// Watch `sig` as a dirty-window trigger: while the condition holds,
     /// compiled dispatch falls back to full event-driven semantics (and
     /// every parked component is woken). The current value is inspected
@@ -1084,20 +1116,15 @@ impl Simulator {
         id
     }
 
-    /// Build the compiled plan: size the dense per-component tables and
-    /// levelize the declared combinational netlist. Called lazily by the
-    /// run methods; callable eagerly to front-load the (small) cost.
+    /// Build the compiled plan: size the dense per-component and
+    /// per-signal tables. Called lazily by the run methods; callable
+    /// eagerly to front-load the (small) cost.
     pub fn compile_plan(&mut self) {
         let t0 = std::time::Instant::now();
-        self.core.compiled.ensure_comps(self.comps.len());
-        self.core.compiled.ensure_signals(self.core.signals.len());
-        let (levels, cyclic) = self.core.compiled.levelize();
         let cc = &mut self.core.compiled;
+        cc.ensure_comps(self.comps.len());
+        cc.ensure_signals(self.core.signals.len());
         cc.stats.schedule_comps = self.comps.len() as u64;
-        cc.stats.seq_rank = cc.clock_of.iter().filter(|&&c| c != NO_CLOCK).count() as u64;
-        cc.stats.comb_comps = cc.comb_decls.len() as u64;
-        cc.stats.comb_levels = levels;
-        cc.stats.comb_cyclic = cyclic;
         cc.built = true;
         cc.refresh_gate();
         cc.stats.compile_nanos = t0.elapsed().as_nanos() as u64;
